@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-faults test-online test-live test-serve test-durable test-scale test-fleet serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
+.PHONY: install test test-fast test-faults test-online test-live test-serve test-durable test-scale test-fleet serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-check bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
 
 install:
 	pip install -e .
@@ -94,9 +94,17 @@ ci: lint
 	$(MAKE) bench-serve
 	$(MAKE) bench-scale
 	$(MAKE) bench-gate
+	$(MAKE) bench-check
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The benchmark's own equivalence tests (perfbench/): its event loop
+# decides like OnlineMQOScheduler.run shard by shard, the 4,096-query
+# burst total IV is pinned, and a traced run decides exactly like an
+# untraced one.
+bench-check:
+	PYTHONPATH=src:. $(PYTHON) -m pytest perfbench/tests -q
 
 bench-mqo:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_mqo_perf.py benchmarks/test_fig9_mqo.py --benchmark-only

@@ -4,7 +4,9 @@
 like ``WorkloadEvaluator.evaluate_sequence`` — same candidate choices,
 same commit arithmetic — modulo the documented ``REL_TOLERANCE`` (numpy's
 ``power`` and libm's ``pow`` can differ in the last ulp).  These tests
-drive randomized workloads through both paths, check the GA's
+drive randomized workloads through both paths, hold the kernel bit for
+bit to the per-table loop it replaced (``tests/support/
+vector_reference.py``), bound the sync history it copies, check the GA's
 ``fitness_batch`` hook scores consistently with its per-chromosome
 fallback, and exercise the online scheduler's opt-in end to end.
 """
@@ -13,20 +15,31 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import DiscountRates
 from repro.errors import OptimizationError
-from repro.federation.catalog import Catalog, FixedSyncSchedule, TableDef
+from repro.experiments import scale
+from repro.federation.catalog import (
+    Catalog,
+    FixedSyncSchedule,
+    SharedSyncFeed,
+    StreamSyncSchedule,
+    TableDef,
+)
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.site import LOCAL_SITE_ID
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.mqo.ga import GAConfig, GeneticAlgorithm
 from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
 from repro.mqo.vector import HAS_NUMPY, REL_TOLERANCE, VectorizedEvaluator
+from repro.sim.rng import RandomSource
+from repro.sim.streams import ExponentialStream
 from repro.workload.query import DSSQuery, Workload
+from tests.support.vector_reference import ReferenceVectorizedEvaluator
 
 pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
@@ -34,20 +47,29 @@ NUM_TABLES = 8
 NUM_SITES = 3
 
 
-def build_catalog() -> Catalog:
+def build_catalog(sync: str = "fixed") -> Catalog:
+    """Staggered replicas: a fixed list with a periodic tail by default,
+    else every replica on its own ``"stream"`` or one ``"shared"`` feed."""
     catalog = Catalog()
+    source = RandomSource(5, "vector-sync")
+    feed = SharedSyncFeed(ExponentialStream(1.5, source.spawn("shared")))
     for index in range(NUM_TABLES):
         name = f"t{index}"
         catalog.add_table(
             TableDef(name, site=index % NUM_SITES, row_count=3_000)
         )
-        catalog.add_replica(
-            name,
-            FixedSyncSchedule(
+        if sync == "shared":
+            schedule = feed.member()
+        elif sync == "stream":
+            schedule = StreamSyncSchedule(
+                ExponentialStream(6.0, source.spawn(name)), offset=0.5 * index
+            )
+        else:
+            schedule = FixedSyncSchedule(
                 [1.0 + index * 0.5 + k * 6.0 for k in range(30)],
                 tail_period=6.0,
-            ),
-        )
+            )
+        catalog.add_replica(name, schedule)
     return catalog
 
 
@@ -68,8 +90,10 @@ def build_workload(query_specs: list[tuple[int, float, float]]) -> Workload:
     return workload
 
 
-def build_evaluator(workload: Workload, **kwargs) -> WorkloadEvaluator:
-    catalog = build_catalog()
+def build_evaluator(
+    workload: Workload, sync: str = "fixed", **kwargs
+) -> WorkloadEvaluator:
+    catalog = build_catalog(sync)
     cost_model = CostModel(catalog, params=CostParameters())
     rates = DiscountRates.symmetric(0.1)
     return WorkloadEvaluator(catalog, cost_model, rates, workload, **kwargs)
@@ -146,6 +170,119 @@ class TestBatchEquivalence:
             vector.evaluate_batch([[99, 1]])
         with pytest.raises(OptimizationError, match=">= 1 query"):
             VectorizedEvaluator(evaluator, query_ids=[])
+
+    def test_rejects_repeated_query_ids(self):
+        # Scoring [1, 1] used to realize query 1 twice and double-count
+        # its IV; the scalar path rejects the same order.
+        workload = build_workload([(0, 1.0, 8_000.0), (1, 1.2, 8_000.0)])
+        evaluator = build_evaluator(workload)
+        vector = VectorizedEvaluator(evaluator)
+        with pytest.raises(OptimizationError, match="must not repeat"):
+            evaluator.evaluate_sequence([1, 1])
+        with pytest.raises(OptimizationError, match="must not repeat"):
+            vector.evaluate_batch([[1, 1]])
+        with pytest.raises(OptimizationError, match="must not repeat"):
+            vector.evaluate_batch([[1, 2], [2, 2]])
+
+
+def assert_bit_equal(actual: "np.ndarray", expected: "np.ndarray") -> None:
+    assert actual.shape == expected.shape
+    assert (actual.view(np.int64) == expected.view(np.int64)).all(), (
+        f"kernel {actual.tolist()} != reference {expected.tolist()}"
+    )
+
+
+#: Arrivals reach well past the fixed sync lists (last entry ~178.5), so
+#: schedules extend through their periodic tails.
+late_query_spec = st.tuples(
+    st.integers(min_value=0, max_value=NUM_TABLES - 1),
+    st.floats(min_value=0.0, max_value=400.0),
+    st.floats(min_value=1_000.0, max_value=20_000.0),
+)
+
+
+class TestReferenceBitEquality:
+    """The kernel against the per-table loop it replaced, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(late_query_spec, min_size=2, max_size=7),
+        sync=st.sampled_from(["fixed", "fixed", "stream", "shared"]),
+        data=st.data(),
+    )
+    def test_bit_equal_to_reference_loop(self, specs, sync, data):
+        workload = build_workload(specs)
+        evaluator = build_evaluator(workload, sync)
+        qids = [q.query_id for q in workload.queries]
+        compiled = data.draw(
+            st.lists(st.sampled_from(qids), min_size=1, unique=True)
+        )
+        length = data.draw(st.integers(1, len(compiled)))
+        orders = data.draw(st.lists(
+            st.permutations(compiled).map(lambda order: order[:length]),
+            min_size=1, max_size=32,
+        ))
+        base = data.draw(st.dictionaries(
+            st.sampled_from([LOCAL_SITE_ID, 1, 2]),
+            st.floats(min_value=0.0, max_value=1_000.0),
+        ))
+        evaluator.rebase(base)
+        vector = VectorizedEvaluator(evaluator, query_ids=compiled)
+        reference = ReferenceVectorizedEvaluator(evaluator, query_ids=compiled)
+        assert_bit_equal(
+            vector.evaluate_batch(orders), reference.evaluate_batch(orders)
+        )
+
+    @pytest.mark.parametrize("sync", ["fixed", "stream", "shared"])
+    def test_rebuilds_the_window_when_a_batch_runs_past_it(self, sync):
+        workload = build_workload(
+            [(0, 170.0, 8_000.0), (1, 171.0, 9_000.0), (2, 172.0, 7_000.0)]
+        )
+        evaluator = build_evaluator(workload, sync)
+        vector = VectorizedEvaluator(evaluator)
+        reference = ReferenceVectorizedEvaluator(evaluator)
+        horizon = vector._horizon
+        orders = [[1, 2, 3], [3, 1, 2], [2, 3, 1]]
+        assert_bit_equal(
+            vector.evaluate_batch(orders), reference.evaluate_batch(orders)
+        )
+        # Servers busy far past the copied window: every begin lands
+        # beyond it, so the batch must re-copy before it can be exact.
+        evaluator.rebase({LOCAL_SITE_ID: horizon + 500.0, 1: horizon})
+        assert_bit_equal(
+            vector.evaluate_batch(orders), reference.evaluate_batch(orders)
+        )
+        assert vector._horizon > horizon + 500.0
+
+
+class TestSyncWindowBound:
+    """A pass copies the sync window it can read, never the history."""
+
+    @staticmethod
+    def _copied_near(start: float) -> int:
+        config = scale.ScaleConfig()
+        spec = scale.ScheduleSpec(
+            "burst", queries=16, arrival="burst", burst_size=16
+        )
+        stream = scale.build_stream(config, spec)
+        workload = Workload.from_queries(stream.queries, arrivals=[
+            start + stream.arrival_of(q.query_id) for q in stream.queries
+        ])
+        catalog = scale.build_catalog(config)
+        evaluator = WorkloadEvaluator(
+            catalog, CostModel(catalog, params=CostParameters()),
+            DiscountRates.symmetric(0.1), workload,
+            max_candidates=config.max_candidates,
+        )
+        return VectorizedEvaluator(evaluator)._union.size
+
+    def test_copy_does_not_grow_with_stream_time(self):
+        # Both starts sit at the same phase of the 6-minute sync cycle;
+        # the whole history behind them differs a hundredfold.
+        near = self._copied_near(6.0 * 167)
+        far = self._copied_near(6.0 * 16_667)
+        assert near == far
+        assert near <= 100
 
 
 class TestGABatchFitness:
